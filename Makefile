@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify fmtcheck fmt vet build test race fuzz bench perf baseline clean
+.PHONY: verify fmtcheck fmt vet build test race fuzz bench perf baseline perfbench-check clean
 
 verify: fmtcheck vet build race
 
@@ -46,6 +46,11 @@ perf:
 # Refresh the committed baseline (run on a quiet machine; commit the result).
 baseline:
 	$(GO) run ./cmd/mikbench -out BENCH_planner.json
+
+# The repository benchmark (perfbench/) is a Go module of its own, so the
+# root ./... never vets or tests it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -66,15 +66,7 @@ func (e *graphEval) latency(g nn.Graph) (float64, error) {
 				if err != nil {
 					return 0, fmt.Errorf("graph %s op %s: %w", g.Name, op.Name, err)
 				}
-				single := prog.Tasks(e.h)
-				batched := single
-				if op.Count > 1 {
-					batched = make([]sim.Task, 0, len(single)*op.Count)
-					for i := 0; i < op.Count; i++ {
-						batched = append(batched, single...)
-					}
-				}
-				cycles = sim.Run(e.h, batched).Cycles
+				cycles = sim.Run(e.h, sim.AppendRepeat(nil, prog.Tasks(e.h), op.Count)).Cycles
 				e.simCache[key] = cycles
 				if e.overhead != nil {
 					total += e.overhead(op.Gemm)

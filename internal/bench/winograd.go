@@ -23,12 +23,7 @@ func winogradCycles(mik *core.Compiler, h hw.Hardware, s tensor.ConvShape) (floa
 	if err != nil {
 		return 0, err
 	}
-	single := prog.Tasks(h)
-	batched := make([]sim.Task, 0, len(single)*low.Count)
-	for i := 0; i < low.Count; i++ {
-		batched = append(batched, single...)
-	}
-	res := sim.Run(h, batched)
+	res := sim.Run(h, sim.AppendRepeat(nil, prog.Tasks(h), low.Count))
 	return res.Cycles + low.TransformBytes/h.GlobalBytesPerCycle, nil
 }
 

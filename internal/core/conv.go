@@ -77,11 +77,7 @@ func (c *Compiler) PlanConv(cs tensor.ConvShape) (*ConvPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		single := wProg.Tasks(h)
-		batched := make([]sim.Task, 0, len(single)*low.Count)
-		for i := 0; i < low.Count; i++ {
-			batched = append(batched, single...)
-		}
+		batched := sim.AppendRepeat(nil, wProg.Tasks(h), low.Count)
 		plan.WinogradCycles = sim.Run(h, batched).Cycles + low.TransformBytes/h.GlobalBytesPerCycle
 		if plan.WinogradCycles < plan.Im2colCycles {
 			plan.Algo = AlgoWinograd
@@ -121,15 +117,10 @@ func (c *Compiler) PlanGroupedConv(gs tensor.GroupedConvShape) (*GroupedConvPlan
 		return nil, err
 	}
 	h := c.lib.HW
-	single := prog.Tasks(h)
-	batched := make([]sim.Task, 0, len(single)*gs.Groups)
-	for i := 0; i < gs.Groups; i++ {
-		batched = append(batched, single...)
-	}
 	return &GroupedConvPlan{
 		Shape:   gs,
 		Program: prog,
-		Cycles:  sim.Run(h, batched).Cycles,
+		Cycles:  sim.Run(h, sim.AppendRepeat(nil, prog.Tasks(h), gs.Groups)).Cycles,
 	}, nil
 }
 

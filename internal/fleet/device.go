@@ -201,7 +201,7 @@ func NewDevice(lib *tune.Library, cfg DeviceConfig) *Device {
 		Obs:         cfg.Obs,
 	})
 	d.rt.SetSimulator(func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
-		return d.simulate(h, v, tasks, d.started.Load(), salt)
+		return sim.Execute(h, tasks, d.simEnv(v, d.started.Load(), salt))
 	})
 	d.state.Store(int32(StateStarting))
 	return d
@@ -441,7 +441,7 @@ func (d *Device) execGemm(ctx context.Context, op int64, shape tensor.GemmShape,
 	h := d.h
 	view := d.reg.View()
 	h = view.Apply(h)
-	res := d.simulate(h, view, prog.Tasks(h), op, salt)
+	res := sim.Execute(h, prog.Tasks(h), d.simEnv(view, op, salt))
 	d.reg.ObserveResult(view, res)
 	if res.FaultedTasks > 0 || res.StrandedTasks > 0 {
 		return nil, fmt.Errorf("%w: %d faulted, %d stranded on %s",
@@ -498,46 +498,13 @@ func (d *Device) ExecModel(ctx context.Context, g nn.Graph, salt uint64) (graphr
 	return v.(graphrt.Report), nil
 }
 
-// simulate runs a task batch under the device's PE-level fault config plus
-// the op-windowed device-level domains (brownout, slow replica). It is both
-// the direct GEMM path and the graph runtime's simulator seam, so model
-// stages see identical degradation.
-func (d *Device) simulate(h hw.Hardware, v health.View, tasks []sim.Task, op int64, salt uint64) sim.Result {
-	var f sim.Faults
-	inject := false
-	if d.faults != nil {
-		// Renumber per-PE fault entries onto the survivor indices of the
-		// current health view, as the single-device serving layer does.
-		f = v.RemapFaults(*d.faults)
-		inject = true
-	}
-	if d.dev.BrownoutAt(op) && f.Brownout == nil {
-		// Device-level brownouts derate whole ops: stretch one window
-		// across the entire run.
-		f.Brownout = &sim.Brownout{StartCycle: 0, Duration: sim.BrownoutAllRun, Factor: d.dev.BrownoutFactor}
-		inject = true
-	}
-	var res sim.Result
-	if !inject {
-		res = sim.Run(h, tasks)
-	} else {
-		f.Salt += salt
-		r, err := sim.RunWithFaults(h, tasks, f)
-		if err != nil {
-			// An unusable fault config degrades to the healthy simulation
-			// rather than failing ops.
-			r = sim.Run(h, tasks)
-		}
-		res = r
-	}
-	if s := d.dev.Slowdown(); s > 1 {
-		res.Cycles *= s
-		res.BusyPECycles *= s
-		for i := range res.PEBusy {
-			res.PEBusy[i] *= s
-		}
-	}
-	return res
+// simEnv is the device's PE-level fault config plus its op-windowed
+// device-level domains (brownout, slow replica) as op ordinal op sees them
+// under health view v. The direct GEMM path and the graph runtime's stages
+// both run under it, so model stages see identical degradation.
+func (d *Device) simEnv(v health.View, op int64, salt uint64) sim.Env {
+	return sim.Env{Faults: d.faults, BasePEs: v.NumPEs, Quarantined: v.Quarantined,
+		Salt: salt, Device: d.dev, Op: op}
 }
 
 // DeviceSummary is the wire-format snapshot of one device for /healthz and

@@ -91,26 +91,17 @@ type Runtime struct {
 	// slow planners. Defaults to PlanOrFallback under cfg.PlanTimeout.
 	planFn func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error)
 
-	// simFn executes one stage's task batch; a seam the serve layer uses
-	// for fault injection and tests use for slow devices. v is the health
-	// view the stage runs under, so injected fault schedules can be
-	// remapped onto the shrunken survivor numbering. Defaults to sim.Run
+	// simFn executes one stage's run-length task batch; a seam the serve
+	// layer uses for fault injection and tests use for slow devices. v is
+	// the health view the stage runs under, so injected fault schedules can
+	// be remapped onto the shrunken survivor numbering. nil runs sim.Run
 	// (salt and view ignored).
 	simFn func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result
 
 	mu         sync.Mutex
 	agg        Stats
-	simCache   map[string]simEntry
+	simCache   map[stageKey]sim.Result
 	chainCache map[string]chainEntry
-}
-
-// simEntry caches one stage's simulated execution within a salt generation.
-// The full Result is retained: memoized replays still accumulate per-PE
-// utilization, and the recovery ladder needs the fault breakdown (faulted,
-// stranded, dead PEs) when a cached dirty stage replays.
-type simEntry struct {
-	salt uint64
-	res  sim.Result
 }
 
 // Stats are the runtime's cumulative counters, aggregated across Execute
@@ -243,7 +234,7 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		h:          comp.Hardware(),
 		cfg:        cfg,
 		o:          cfg.Obs,
-		simCache:   make(map[string]simEntry),
+		simCache:   make(map[stageKey]sim.Result),
 		chainCache: make(map[string]chainEntry),
 	}
 	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
@@ -254,9 +245,6 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 			defer cancel()
 		}
 		return comp.PlanOrFallback(pctx, shape)
-	}
-	r.simFn = func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
-		return sim.Run(h, tasks)
 	}
 	return r
 }
@@ -354,14 +342,13 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	pipe := r.startPipeline(pctx, g, order, fusion)
 
 	// Spans cover novel work only: each memo-missing stage gets a
-	// graphrt.stage span inside runStageCached, while memoized replays —
+	// graphrt.stage span inside runStage, while memoized replays —
 	// the bulk of a deep model's stages — ride on the enclosing execute
 	// span. Spanning all ~N stages of a decode graph would put hundreds of
 	// span commits on a ~ms execution, busting the <2% overhead contract.
+	var ops []stageOp
 	for si, stage := range stages {
-		var tasks []sim.Task
-		var ops []stageOp
-		stageKey := ""
+		ops = ops[:0]
 		// The health view is resolved per stage, not per graph: a PE
 		// quarantined while stage k executes shrinks the hardware stage
 		// k+1 runs on — mid-graph adaptation.
@@ -376,10 +363,8 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 					continue
 				}
 				if fprog := fusion.head[i]; fprog != nil {
-					tasks = append(tasks, fprog.Tasks(hEff)...)
 					ops = append(ops, stageOp{shape: op.Gemm, count: 1,
 						prog: fprog, chainShapes: fusion.shapes[i]})
-					stageKey += progKey(fprog, 1)
 					continue
 				}
 			}
@@ -391,21 +376,16 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 			if err != nil {
 				return Report{}, fmt.Errorf("graphrt: graph %s op %s: %w", g.Name, op.Name, err)
 			}
-			single := t.prog.Tasks(hEff)
-			for c := 0; c < op.Count; c++ {
-				tasks = append(tasks, single...)
-			}
 			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: t.prog})
-			stageKey += progKey(t.prog, op.Count)
 		}
-		if len(tasks) > 0 {
-			res := r.runStageCached(ctx, si, stageKey, fp, hEff, v, tasks, salt)
+		if len(ops) > 0 {
+			res := r.runStage(ctx, si, ops, fp, hEff, v, salt)
 			r.observe(v, res)
 			switch {
 			case res.Clean():
 				// Healthy stage.
 			case r.cfg.Health != nil:
-				recovered, err := r.recoverStage(ctx, g, si, ops, stageKey, tasks, salt, res, &rep)
+				recovered, err := r.recoverStage(ctx, g, si, ops, salt, res, &rep)
 				if err != nil {
 					return Report{}, err
 				}

@@ -2,13 +2,12 @@ package graphrt
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
 	"time"
 
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
-	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 )
@@ -126,47 +125,78 @@ func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape 
 	return t, t.err
 }
 
-// progKey fingerprints a program for the stage-simulation memo. Identity by
+// stageKey identifies one stage execution in the stage-simulation memo: the
+// stage's ops — each one's count and program identity
+// (poly.Program.AppendIdentity), binary-encoded in launch order — the health
+// fingerprint it ran under and the fault-injection salt. Identity is by
 // content, not pointer, so a recycled allocation can never alias a stale
-// entry: shape + pattern + region count + task count separates an optimized
-// program from the single-kernel fallback for the same shape.
-func progKey(p *poly.Program, count int) string {
-	return fmt.Sprintf("%v|%s|%d|%d*%d;", p.Shape, p.Pattern, len(p.Regions), p.NumTasks(), count)
+// entry, and two programs that share a shape, pattern and task count but not
+// their kernels never share an entry.
+type stageKey struct {
+	ops  string
+	fp   string
+	salt uint64
 }
 
-// runStageCached executes one stage's co-scheduled task batch, memoizing by
-// (program identity, count, health fingerprint, salt) signature: model
-// graphs repeat the same operator stack across layers, and the simulator is
-// deterministic, so identical stages under the same device view cost
-// identical cycles. The fingerprint in the key keeps healthy and degraded
-// executions strictly separated (no cross-contamination), and recovery
-// attempts always miss because their salts differ. Only the memo miss — the
-// stage that actually hits the simulator — earns a span; replays are
-// aggregated into the parent graphrt.execute span's counters.
-func (r *Runtime) runStageCached(ctx context.Context, stage int, key, fp string, h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
-	key = fmt.Sprintf("%s#%s#%d", key, fp, salt)
+// appendStageOps appends the ops part of a stage's memo key to b.
+func appendStageOps(b []byte, ops []stageOp) []byte {
+	for _, op := range ops {
+		b = binary.AppendUvarint(b, uint64(op.count))
+		b = op.prog.AppendIdentity(b)
+	}
+	return b
+}
+
+// lowerStage lowers a stage's ops to one run-length task batch on h: each
+// op's program runs, launched op.count times.
+func lowerStage(ops []stageOp, h hw.Hardware) []sim.Task {
+	var tasks []sim.Task
+	for _, op := range ops {
+		tasks = sim.AppendRepeat(tasks, op.prog.Tasks(h), op.count)
+	}
+	return tasks
+}
+
+// runStage executes one stage's co-scheduled ops, memoizing by stageKey:
+// model graphs repeat the same operator stack across layers, and the
+// simulator is deterministic, so identical stages under the same device view
+// cost identical cycles. The memo is probed before the stage is lowered, so
+// a hit costs one key encoding and one map lookup. The fingerprint in the
+// key keeps healthy and degraded executions strictly separated (no
+// cross-contamination), and recovery attempts always miss because their
+// salts differ. Only the memo miss — the stage that actually hits the
+// simulator — earns a span; replays are aggregated into the parent
+// graphrt.execute span's counters.
+func (r *Runtime) runStage(ctx context.Context, stage int, ops []stageOp, fp string, h hw.Hardware, v health.View, salt uint64) sim.Result {
+	var scratch [256]byte // typical stages encode in well under 256 bytes
+	buf := appendStageOps(scratch[:0], ops)
 	r.mu.Lock()
-	if e, ok := r.simCache[key]; ok && e.salt == salt {
-		r.accumulateStageLocked(e)
+	if res, ok := r.simCache[stageKey{ops: string(buf), fp: fp, salt: salt}]; ok {
+		r.accumulateStageLocked(res)
 		r.mu.Unlock()
-		return e.res
+		return res
 	}
 	r.mu.Unlock()
 
 	_, sp := r.o.T().Start(ctx, "graphrt.stage")
-	res := r.simFn(h, v, tasks, salt)
-	sp.Attr("stage", float64(stage)).Attr("tasks", float64(len(tasks))).
+	tasks := lowerStage(ops, h)
+	var res sim.Result
+	if r.simFn != nil {
+		res = r.simFn(h, v, tasks, salt)
+	} else {
+		res = sim.Run(h, tasks)
+	}
+	sp.Attr("stage", float64(stage)).Attr("tasks", float64(sim.Total(tasks))).
 		Attr("cycles", res.Cycles).End()
 
-	e := simEntry{salt: salt, res: res}
 	r.mu.Lock()
 	if len(r.simCache) >= simCacheCap {
 		// The cache is per-process scratch, not a correctness structure:
 		// dropping it wholesale keeps memory flat under shape churn.
-		r.simCache = make(map[string]simEntry)
+		r.simCache = make(map[stageKey]sim.Result)
 	}
-	r.simCache[key] = e
-	r.accumulateStageLocked(e)
+	r.simCache[stageKey{ops: string(buf), fp: fp, salt: salt}] = res
+	r.accumulateStageLocked(res)
 	r.mu.Unlock()
 	return res
 }
@@ -177,17 +207,17 @@ func (r *Runtime) runStageCached(ctx context.Context, stage int, key, fp string,
 // fewer PEs than healthy ones; the shorter series folds into the prefix, so
 // cumulative utilization reflects survivor positions — an accepted
 // approximation while quarantines are live.
-func (r *Runtime) accumulateStageLocked(e simEntry) {
-	r.agg.GemmStageCycles += e.res.Cycles
-	if len(e.res.PEBusy) == 0 {
+func (r *Runtime) accumulateStageLocked(res sim.Result) {
+	r.agg.GemmStageCycles += res.Cycles
+	if len(res.PEBusy) == 0 {
 		return
 	}
-	if len(r.agg.PEBusy) < len(e.res.PEBusy) {
-		grown := make([]float64, len(e.res.PEBusy))
+	if len(r.agg.PEBusy) < len(res.PEBusy) {
+		grown := make([]float64, len(res.PEBusy))
 		copy(grown, r.agg.PEBusy)
 		r.agg.PEBusy = grown
 	}
-	for i, b := range e.res.PEBusy {
+	for i, b := range res.PEBusy {
 		r.agg.PEBusy[i] += b
 	}
 }

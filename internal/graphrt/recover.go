@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"mikpoly/internal/health"
-	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
@@ -38,8 +37,8 @@ func (e *StageError) Error() string {
 
 func (e *StageError) Unwrap() error { return e.Err }
 
-// stageOp is one GEMM op of a stage, retained so recovery can regenerate or
-// replan the stage's task batch.
+// stageOp is one GEMM op of a stage: what the stage memo keys on, what the
+// stage lowers from on a memo miss, and what recovery migrates or replans.
 type stageOp struct {
 	shape tensor.GemmShape
 	count int
@@ -70,11 +69,11 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 // recoverStage walks the bounded escalation ladder for a stage whose
 // execution came back dirty (faulted or stranded tasks):
 //
-//	rung 1 — retry in place: identical task batch, fresh salt. Clears
-//	         transient faults at the cost of one stage re-execution.
-//	rung 2 — migrate: regenerate the same programs' tasks on the *current*
-//	         degraded view H' (the initial failure's observation may have
-//	         quarantined a PE) and run on the survivors.
+//	rung 1 — retry in place: same programs, fresh salt. Clears transient
+//	         faults at the cost of one stage re-execution.
+//	rung 2 — migrate: run the same programs on the *current* degraded
+//	         view H' (the initial failure's observation may have
+//	         quarantined a PE), on the survivors.
 //	rung 3 — replan: re-derive each op's program against H' through the
 //	         compiler (hitting the (shape, fingerprint)-keyed cache), then
 //	         run the new program — the paper's Cost(S, H') argument made
@@ -86,7 +85,7 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 // executions. On success the healed result is returned; its cycles are
 // charged by the caller.
 func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []stageOp,
-	stageKey string, tasks []sim.Task, salt uint64, first sim.Result, rep *Report) (sim.Result, error) {
+	salt uint64, first sim.Result, rep *Report) (sim.Result, error) {
 
 	res := first
 	for attempt := 1; ; attempt++ {
@@ -113,22 +112,16 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 			return res, err
 		}
 
+		// Every rung runs on the current view. Lowering reads no field a
+		// health view changes, so rungs 1 and 2 run the same batch and
+		// differ only in which counter a success books.
 		v, fp, hEff := r.healthView()
-		key := stageKey
-		runTasks := tasks
-		switch {
-		case attempt == 1:
-			// Retry in place: same batch, fresh salt.
-		case attempt == 2:
-			// Migrate: same programs, current survivor set.
-			runTasks = regenTasks(ops, hEff)
-		default:
+		if attempt >= 3 {
 			// Replan every op against the degraded view. The compiler's
 			// cache key carries fp, so this never dredges up a
 			// healthy-mode program — and a repeat failure re-plans
 			// against the then-current view.
 			newOps := make([]stageOp, 0, len(ops))
-			key = ""
 			for _, op := range ops {
 				// A fused chain dissolves into its member GEMMs here:
 				// each member replans individually against H'.
@@ -149,14 +142,12 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 						rep.Degraded++
 					}
 					newOps = append(newOps, stageOp{shape: s, count: op.count, prog: prog})
-					key += progKey(prog, op.count)
 				}
 			}
 			ops = newOps
-			runTasks = regenTasks(ops, hEff)
 		}
 
-		res = r.runStageCached(ctx, si, key, fp, hEff, v, runTasks, recoverySalt(salt, attempt))
+		res = r.runStage(ctx, si, ops, fp, hEff, v, recoverySalt(salt, attempt))
 		r.observe(v, res)
 		if res.Clean() {
 			rep.RecoveredStages++
@@ -173,17 +164,4 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 			return res, nil
 		}
 	}
-}
-
-// regenTasks materializes the stage's task batch from its programs on the
-// given hardware.
-func regenTasks(ops []stageOp, h hw.Hardware) []sim.Task {
-	var tasks []sim.Task
-	for _, op := range ops {
-		batch := op.prog.Tasks(h)
-		for i := 0; i < op.count; i++ {
-			tasks = append(tasks, batch...)
-		}
-	}
-	return tasks
 }

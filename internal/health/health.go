@@ -381,49 +381,7 @@ func (v View) Apply(h hw.Hardware) hw.Hardware {
 // quarantined PEs are dropped — that hardware no longer takes part — and
 // device-wide knobs (seed, salt, rates, bandwidth, brownout) pass through.
 func (v View) RemapFaults(f sim.Faults) sim.Faults {
-	if len(v.Quarantined) == 0 {
-		return f
-	}
-	quar := make(map[int]bool, len(v.Quarantined))
-	for _, pe := range v.Quarantined {
-		quar[pe] = true
-	}
-	rank := make(map[int]int, v.NumPEs)
-	next := 0
-	for pe := 0; pe < v.NumPEs; pe++ {
-		if !quar[pe] {
-			rank[pe] = next
-			next++
-		}
-	}
-
-	out := f
-	out.DropPEs = nil
-	for _, pe := range f.DropPEs {
-		if r, ok := rank[pe]; ok {
-			out.DropPEs = append(out.DropPEs, r)
-		}
-	}
-	out.SlowPE = remapMap(f.SlowPE, rank)
-	out.PEDeathCycle = remapMap(f.PEDeathCycle, rank)
-	out.StickyFaults = remapMap(f.StickyFaults, rank)
-	return out
-}
-
-func remapMap[V any](m map[int]V, rank map[int]int) map[int]V {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[int]V, len(m))
-	for pe, val := range m {
-		if r, ok := rank[pe]; ok {
-			out[r] = val
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return f.Remap(v.NumPEs, v.Quarantined)
 }
 
 func maxInt(a, b int) int {

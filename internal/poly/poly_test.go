@@ -9,6 +9,7 @@ import (
 
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kernel"
+	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
 )
@@ -94,14 +95,24 @@ func TestProgramTasks(t *testing.T) {
 		Regions: []Region{{M: 64, N: 64, K: 64, Kern: k}}}
 	h := hw.A100()
 	tasks := prog.Tasks(h)
-	if len(tasks) != 4 {
-		t.Fatalf("task count = %d, want 4", len(tasks))
+	if len(tasks) != 1 || tasks[0].Count != 4 || sim.Total(tasks) != prog.NumTasks() {
+		t.Fatalf("runs = %+v, want one run of 4 tasks", tasks)
 	}
 	want := k.PipelinedTask(h, 2)
-	for _, task := range tasks {
-		if task.ComputeCycles != want.ComputeCycles || task.MemBytes != want.MemBytes {
-			t.Fatal("task cost mismatch")
-		}
+	if task := tasks[0]; task.ComputeCycles != want.ComputeCycles || task.MemBytes != want.MemBytes {
+		t.Fatal("task cost mismatch")
+	}
+
+	// A multi-region program lowers to one run per region, tagged in launch
+	// order.
+	k2 := kernel.New(16, 64, 32, kernel.DefaultConfig())
+	two := &Program{Shape: shape, Pattern: PatternII, Regions: []Region{
+		{M: 32, N: 64, K: 64, Kern: k},
+		{M0: 32, M: 32, N: 64, K: 64, Kern: k2},
+	}}
+	runs := two.Tasks(h)
+	if len(runs) != 2 || runs[0].Count != 2 || runs[1].Count != 2 || runs[0].Tag != 0 || runs[1].Tag != 1 {
+		t.Fatalf("runs = %+v, want one run per region", runs)
 	}
 }
 

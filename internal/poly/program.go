@@ -9,7 +9,9 @@
 package poly
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"mikpoly/internal/hw"
@@ -155,27 +157,46 @@ func (p *Program) NumTasks() int {
 	return n
 }
 
-// Tasks lowers the program to simulator tasks, region by region in launch
+// Tasks lowers the program to simulator task runs, one per region in launch
 // order (the GPU's dynamic scheduler may overlap the tail of one region with
 // the head of the next, exactly the behaviour that shrinks partial waves).
-// Fused regions lower to one strip task per row band, whose traffic already
-// excludes the inter-stage loads and stores the chain keeps in M_local.
+// Each run's Count is the region's task count. Fused regions lower to one
+// strip task per row band, whose traffic already excludes the inter-stage
+// loads and stores the chain keeps in M_local.
 func (p *Program) Tasks(h hw.Hardware) []sim.Task {
-	out := make([]sim.Task, 0, p.NumTasks())
+	out := make([]sim.Task, len(p.Regions))
 	for ri, r := range p.Regions {
-		var task sim.Task
 		if r.Fused() {
-			task = r.chainTask(h)
+			out[ri] = r.chainTask(h)
 		} else {
 			_, _, t3 := r.Tiles()
-			task = r.Kern.PipelinedTask(h, t3)
+			out[ri] = r.Kern.PipelinedTask(h, t3)
 		}
-		task.Tag = ri
-		for i := 0; i < r.Tasks(); i++ {
-			out = append(out, task)
-		}
+		out[ri].Tag = ri
+		out[ri].Count = r.Tasks()
 	}
 	return out
+}
+
+// AppendIdentity appends to b a binary encoding of everything the program's
+// lowered tasks depend on: each region's geometry, micro-kernel and fused
+// stage chain. Programs with equal encodings simulate identically on the
+// same hardware, so the encoding can key a simulation memo.
+func (p *Program) AppendIdentity(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p.Regions)))
+	for _, r := range p.Regions {
+		k := r.Kern
+		for _, v := range [...]int{r.M0, r.N0, r.M, r.N, r.KOff, r.K, k.UM, k.UN, k.UK, k.Cfg.Stages, k.Cfg.Vec, len(r.Chain)} {
+			b = binary.AppendVarint(b, int64(v))
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.Premium))
+		for _, st := range r.Chain {
+			b = binary.AppendVarint(b, int64(st.N))
+			b = binary.AppendVarint(b, int64(st.K))
+			b = binary.AppendVarint(b, int64(st.Epilogue))
+		}
+	}
+	return b
 }
 
 // Simulate executes the program on the simulator substrate and returns the

@@ -12,7 +12,6 @@ import (
 	"mikpoly/internal/engine"
 	"mikpoly/internal/fleet"
 	"mikpoly/internal/health"
-	"mikpoly/internal/hw"
 	"mikpoly/internal/kvcache"
 	"mikpoly/internal/poly"
 	"mikpoly/internal/sched"
@@ -314,33 +313,18 @@ func (s *Server) simulate(c *core.Compiler, prog *poly.Program, salt uint64) sim
 		v = reg.View()
 		h = v.Apply(h)
 	}
-	res := s.simulateTasks(h, v, prog.Tasks(h), salt)
+	res := sim.Execute(h, prog.Tasks(h), s.simEnv(v, salt))
 	if reg != nil {
 		reg.ObserveResult(v, res)
 	}
 	return res
 }
 
-// simulateTasks runs a raw task batch under the service's fault config; it
-// is also the graph runtime's simulator seam, so /model executions see the
-// same injected degradation as /execute.
-func (s *Server) simulateTasks(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
-	if s.cfg.Faults == nil {
-		return sim.Run(h, tasks)
-	}
-	// The runtime hands us the effective (possibly shrunken) hardware and
-	// the health view it reflects: renumber the fault schedule's per-PE
-	// entries onto the survivor indices so a quarantined PE's configured
-	// faults die with it instead of landing on an innocent survivor.
-	f := v.RemapFaults(*s.cfg.Faults)
-	f.Salt += salt
-	res, err := sim.RunWithFaults(h, tasks, f)
-	if err != nil {
-		// An unusable fault config degrades to the healthy simulation
-		// rather than failing requests.
-		return sim.Run(h, tasks)
-	}
-	return res
+// simEnv is the service's fault config as one run under health view v sees
+// it. /execute and the graph runtime's stages both run under it, so /model
+// executions see the same injected degradation as /execute.
+func (s *Server) simEnv(v health.View, salt uint64) sim.Env {
+	return sim.Env{Faults: s.cfg.Faults, BasePEs: v.NumPEs, Quarantined: v.Quarantined, Salt: salt}
 }
 
 // healthResponse is the /healthz wire format. A degrading device stays

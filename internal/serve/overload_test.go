@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"mikpoly/internal/health"
+	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
 	"mikpoly/internal/sched"
+	"mikpoly/internal/sim"
 )
 
 // TestBrownoutLadderHysteresis drives the pure automaton through a load
@@ -183,39 +186,66 @@ func TestAdmitRetryAfterBacklog(t *testing.T) {
 // TestGenerateDeadline504 exercises deadline propagation end to end: a
 // queued request with a microscopic deadline budget behind a request that
 // fills the token budget must come back 504, shed before it ever touched the
-// device, while the occupying request completes normally.
+// device, while the occupying request completes normally. A gate in the
+// simulator seam holds the occupier's first wave until the victim is
+// queued, so the victim always waits out at least one wave however fast the
+// device runs.
 func TestGenerateDeadline504(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SchedDecode:         true,
 		ShedDeadlines:       true,
 		SchedInFlightTokens: 600,
 	})
+	release := make(chan struct{})
+	srv.runtime.Load().SetSimulator(func(h hw.Hardware, _ health.View, tasks []sim.Task, _ uint64) sim.Result {
+		<-release
+		return sim.Run(h, tasks)
+	})
+	sc := srv.sched.Load().Scheduler()
+	waitFor := func(what string, cond func(sched.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(sc.Stats()); {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatalf("timed out waiting for %s: %+v", what, sc.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// Fill the budget with a long-running request so the victim queues.
 	var wg sync.WaitGroup
-	wg.Add(1)
-	var firstStatus int
+	wg.Add(2)
+	var firstStatus, victimStatus int
+	var victimBody []byte
 	go func() {
 		defer wg.Done()
 		resp, _ := postTenant(t, ts.URL+"/generate", "acme",
 			generateRequest{PromptLen: 512, Steps: 32})
 		firstStatus = resp.StatusCode
 	}()
-	time.Sleep(50 * time.Millisecond) // let the occupier be admitted
+	waitFor("the occupier to be admitted", func(st sched.Stats) bool { return st.Running == 1 })
 
-	resp, data := postTenant(t, ts.URL+"/generate", "acme",
-		generateRequest{PromptLen: 512, Steps: 1, DeadlineMs: 0.0001})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("stale queued request status %d, want 504: %s", resp.StatusCode, data)
-	}
+	go func() {
+		defer wg.Done()
+		resp, data := postTenant(t, ts.URL+"/generate", "acme",
+			generateRequest{PromptLen: 512, Steps: 1, DeadlineMs: 0.0001})
+		victimStatus, victimBody = resp.StatusCode, data
+	}()
+	waitFor("the victim to queue", func(st sched.Stats) bool { return st.Queued == 1 })
+	close(release)
 	wg.Wait()
+
+	if victimStatus != http.StatusGatewayTimeout {
+		t.Fatalf("stale queued request status %d, want 504: %s", victimStatus, victimBody)
+	}
 	if firstStatus != http.StatusOK {
 		t.Fatalf("occupying request status %d, want 200", firstStatus)
 	}
 	if got := srv.nDeadlineSheds.Load(); got != 1 {
 		t.Fatalf("deadline shed counter %d, want 1", got)
 	}
-	if st := srv.sched.Load().Scheduler().Stats(); st.DeadlineSheds != 1 {
+	if st := sc.Stats(); st.DeadlineSheds != 1 {
 		t.Fatalf("scheduler deadline_sheds %d, want 1", st.DeadlineSheds)
 	}
 }

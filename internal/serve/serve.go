@@ -370,7 +370,7 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 		Fuse:        s.cfg.Fuse,
 	})
 	rt.SetSimulator(func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
-		return s.simulateTasks(h, v, tasks, salt)
+		return sim.Execute(h, tasks, s.simEnv(v, salt))
 	})
 	s.runtime.Store(rt)
 	if s.cfg.DecodeBatch {

@@ -246,10 +246,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// RunWithFaults executes the task list on hardware h degraded by f: dropped
-// PEs accept no work, slowed PEs stretch compute, global bandwidth is scaled
-// (with brownout windows applied on top), PEs may die permanently mid-run,
-// and tasks may report seeded transient or sticky faults. The analytic fast
+// RunWithFaults executes the run-length task list on hardware h degraded by
+// f: dropped PEs accept no work, slowed PEs stretch compute, global bandwidth
+// is scaled (with brownout windows applied on top), PEs may die permanently
+// mid-run, and tasks may report seeded transient or sticky faults; the i-th
+// task started draws the i-th transient fault decision, whichever run it
+// belongs to. The analytic fast
 // path is never taken — degraded hardware breaks its wave-lockstep assumption
 // — so results stay exact. Placement respects the device scheduler: the NPU's
 // max-min static allocator only assigns to live PEs (a real deployment
@@ -278,6 +280,118 @@ func RunWithFaults(h hw.Hardware, tasks []Task, f Faults) (Result, error) {
 		res = runEventLoopInner(h, dynamicQueue(tasks), nil, fs)
 	}
 	return res, nil
+}
+
+// Env is what a serving layer injects into one simulated run on top of the
+// hardware it runs on. The zero value is a healthy run.
+type Env struct {
+	// Faults is the PE-level fault config in base-PE ids; nil runs
+	// without PE-level faults.
+	Faults *Faults
+
+	// BasePEs and Quarantined describe the health view the run's hardware
+	// reflects: Quarantined lists the base PEs (of BasePEs) the hardware
+	// already excludes. Per-PE fault entries are renumbered onto the
+	// survivors, and entries naming a quarantined PE are dropped.
+	BasePEs     int
+	Quarantined []int
+
+	// Salt is added to the fault config's salt; retry attempts vary it so
+	// transient faults can clear.
+	Salt uint64
+
+	// Device is a device-level fault domain and Op the ordinal of the
+	// operation being run: an op inside Device's brownout window runs with
+	// a whole-run brownout, and Device's slowdown stretches the result.
+	Device DeviceFaults
+	Op     int64
+}
+
+// Execute runs the task list under env: a healthy Run when env injects
+// nothing, RunWithFaults otherwise. A fault config RunWithFaults rejects
+// degrades to the healthy run rather than failing the operation.
+func Execute(h hw.Hardware, tasks []Task, env Env) Result {
+	var f Faults
+	inject := false
+	if env.Faults != nil {
+		f = env.Faults.Remap(env.BasePEs, env.Quarantined)
+		inject = true
+	}
+	if env.Device.BrownoutAt(env.Op) && f.Brownout == nil {
+		// Device-level brownouts derate whole ops: stretch one window
+		// across the entire run.
+		f.Brownout = &Brownout{StartCycle: 0, Duration: BrownoutAllRun, Factor: env.Device.BrownoutFactor}
+		inject = true
+	}
+	var res Result
+	if inject {
+		f.Salt += env.Salt
+		var err error
+		if res, err = RunWithFaults(h, tasks, f); err != nil {
+			res = Run(h, tasks)
+		}
+	} else {
+		res = Run(h, tasks)
+	}
+	if s := env.Device.Slowdown(); s > 1 {
+		res.Cycles *= s
+		res.BusyPECycles *= s
+		for i := range res.PEBusy {
+			res.PEBusy[i] *= s
+		}
+	}
+	return res
+}
+
+// Remap translates a fault config expressed in the ids of a numPEs-PE device
+// into the survivor numbering left after quarantining the listed PEs.
+// Entries addressing quarantined PEs are dropped — that hardware no longer
+// takes part — and device-wide knobs (seed, salt, rates, bandwidth,
+// brownout) pass through.
+func (f Faults) Remap(numPEs int, quarantined []int) Faults {
+	if len(quarantined) == 0 {
+		return f
+	}
+	quar := make(map[int]bool, len(quarantined))
+	for _, pe := range quarantined {
+		quar[pe] = true
+	}
+	rank := make(map[int]int, numPEs)
+	next := 0
+	for pe := 0; pe < numPEs; pe++ {
+		if !quar[pe] {
+			rank[pe] = next
+			next++
+		}
+	}
+
+	out := f
+	out.DropPEs = nil
+	for _, pe := range f.DropPEs {
+		if r, ok := rank[pe]; ok {
+			out.DropPEs = append(out.DropPEs, r)
+		}
+	}
+	out.SlowPE = remapPEs(f.SlowPE, rank)
+	out.PEDeathCycle = remapPEs(f.PEDeathCycle, rank)
+	out.StickyFaults = remapPEs(f.StickyFaults, rank)
+	return out
+}
+
+func remapPEs[V any](m map[int]V, rank map[int]int) map[int]V {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[int]V, len(m))
+	for pe, val := range m {
+		if r, ok := rank[pe]; ok {
+			out[r] = val
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // ChaosSchedule derives a randomized-but-fully-deterministic fault schedule

@@ -41,11 +41,12 @@ func (r *running) done(now float64) bool {
 	return now+timeEps(now) >= r.computeDoneAt && r.memLeft <= memEps
 }
 
-// Run executes the task list on hardware h and returns the makespan and
-// per-PE utilization. Placement follows h.Scheduler: GPUs hand each ready
-// task to the first idle PE (hardware dynamic scheduling, so regions of a
-// polymerized program overlap and tail waves shrink); NPUs pre-assign tasks
-// with the max-min static allocation of §4 and each core drains its own list.
+// Run executes the run-length task list on hardware h and returns the
+// makespan and per-PE utilization. Placement follows h.Scheduler: GPUs hand
+// each ready task to the first idle PE (hardware dynamic scheduling, so
+// regions of a polymerized program overlap and tail waves shrink); NPUs
+// pre-assign tasks with the max-min static allocation of §4 and each core
+// drains its own list.
 func Run(h hw.Hardware, tasks []Task) Result {
 	if err := h.Validate(); err != nil {
 		panic(err)
@@ -77,24 +78,18 @@ const fastPathMinWaves = 64
 // wave with the next region's first wave (a ≤1/waves relative error at the
 // gated sizes).
 func analyticFastPath(h hw.Hardware, tasks []Task) (Result, bool) {
-	if len(tasks) < fastPathMinWaves*h.NumPEs {
+	total := Total(tasks)
+	if total < fastPathMinWaves*h.NumPEs {
 		return Result{}, false
 	}
-	// Split into runs of identical tasks; every run must itself be large.
-	type run struct {
-		t Task
-		n int
-	}
-	var runs []run
+	// Merge neighbouring runs of identical tasks; every merged run must
+	// itself be large.
+	runs := make([]Task, 0, len(tasks))
 	for _, t := range tasks {
-		if len(runs) > 0 && runs[len(runs)-1].t == t {
-			runs[len(runs)-1].n++
-		} else {
-			runs = append(runs, run{t: t, n: 1})
-		}
+		runs = appendRun(runs, t)
 	}
 	for _, r := range runs {
-		if r.n < fastPathMinWaves*h.NumPEs {
+		if r.Count < fastPathMinWaves*h.NumPEs {
 			return Result{}, false
 		}
 	}
@@ -106,14 +101,14 @@ func analyticFastPath(h hw.Hardware, tasks []Task) (Result, bool) {
 	}
 	var makespan, busy, streamed float64
 	for _, r := range runs {
-		streamed += float64(r.n) * r.t.MemBytes
-		full := r.n / h.NumPEs
-		rem := r.n % h.NumPEs
-		dFull := duration(r.t, h.NumPEs)
+		streamed += float64(r.Count) * r.MemBytes
+		full := r.Count / h.NumPEs
+		rem := r.Count % h.NumPEs
+		dFull := duration(r, h.NumPEs)
 		makespan += float64(full) * dFull
 		busy += float64(full*h.NumPEs) * dFull
 		if rem > 0 {
-			dRem := duration(r.t, rem)
+			dRem := duration(r, rem)
 			makespan += dRem
 			busy += float64(rem) * dRem
 		}
@@ -122,7 +117,7 @@ func analyticFastPath(h hw.Hardware, tasks []Task) (Result, bool) {
 	for i := range peBusy {
 		peBusy[i] = busy / float64(h.NumPEs)
 	}
-	return Result{Cycles: makespan, BusyPECycles: busy, NumTasks: len(tasks), MemBytesStreamed: streamed, PEBusy: peBusy}, true
+	return Result{Cycles: makespan, BusyPECycles: busy, NumTasks: total, MemBytesStreamed: streamed, PEBusy: peBusy}, true
 }
 
 // feeder abstracts task placement: next returns the task a freed PE should
@@ -137,36 +132,41 @@ type feeder interface {
 	abandon() int
 }
 
-// dynamicQueue models the GPU hardware scheduler: a single FIFO shared by
-// all PEs.
+// dynQueue models the GPU hardware scheduler: a single FIFO shared by all
+// PEs, handing out the runs' tasks in list order.
 type dynQueue struct {
-	tasks []Task
-	head  int
+	runs []Task
+	head int // current run
+	used int // tasks of runs[head] already handed out
+	left int
 }
 
-func dynamicQueue(tasks []Task) *dynQueue { return &dynQueue{tasks: tasks} }
+func dynamicQueue(tasks []Task) *dynQueue { return &dynQueue{runs: tasks, left: Total(tasks)} }
 
 func (q *dynQueue) next(pe int) (Task, bool) {
-	if q.head >= len(q.tasks) {
+	if q.left == 0 {
 		return Task{}, false
 	}
-	t := q.tasks[q.head]
-	q.head++
+	t := q.runs[q.head]
+	if q.used++; q.used == t.N() {
+		q.head, q.used = q.head+1, 0
+	}
+	q.left--
 	return t, true
 }
 
-func (q *dynQueue) remaining() int { return len(q.tasks) - q.head }
+func (q *dynQueue) remaining() int { return q.left }
 
 // drain is a no-op for the shared queue: any surviving PE can run the work.
 func (q *dynQueue) drain(pe int) int { return 0 }
 
 func (q *dynQueue) abandon() int {
-	n := len(q.tasks) - q.head
-	q.head = len(q.tasks)
+	n := q.left
+	q.head, q.used, q.left = len(q.runs), 0, 0
 	return n
 }
 
-// staticFeeder holds the per-PE lists computed by the max-min allocator.
+// staticFeeder holds the per-PE run lists computed by the max-min allocator.
 type staticFeeder struct {
 	perPE [][]Task
 	left  int
@@ -178,7 +178,9 @@ func (f *staticFeeder) next(pe int) (Task, bool) {
 		return Task{}, false
 	}
 	t := l[0]
-	f.perPE[pe] = l[1:]
+	if l[0].Count--; l[0].Count == 0 {
+		f.perPE[pe] = l[1:]
+	}
 	f.left--
 	return t, true
 }
@@ -186,7 +188,7 @@ func (f *staticFeeder) next(pe int) (Task, bool) {
 func (f *staticFeeder) remaining() int { return f.left }
 
 func (f *staticFeeder) drain(pe int) int {
-	n := len(f.perPE[pe])
+	n := Total(f.perPE[pe])
 	f.perPE[pe] = nil
 	f.left -= n
 	return n
@@ -206,6 +208,8 @@ func (f *staticFeeder) abandon() int {
 // core, maximizing the minimum slack — classic LPT scheduling. dead marks PEs
 // excluded from placement (fault injection); nil means all PEs are live.
 func staticAssign(h hw.Hardware, tasks []Task, dead []bool) *staticFeeder {
+	// Sorting the runs stably orders their tasks exactly as a stable sort
+	// of the written-out list would: a run's tasks share one cost.
 	type est struct {
 		idx  int
 		cost float64
@@ -228,17 +232,24 @@ func staticAssign(h hw.Hardware, tasks []Task, dead []bool) *staticFeeder {
 	}
 	load := make([]float64, h.NumPEs)
 	perPE := make([][]Task, h.NumPEs)
+	total := 0
 	for _, e := range ests {
-		best := live[0]
-		for _, pe := range live[1:] {
-			if load[pe] < load[best]-eps {
-				best = pe
+		t := tasks[e.idx]
+		n := t.N()
+		total += n
+		t.Count = 1
+		for i := 0; i < n; i++ {
+			best := live[0]
+			for _, pe := range live[1:] {
+				if load[pe] < load[best]-eps {
+					best = pe
+				}
 			}
+			load[best] += e.cost
+			perPE[best] = appendRun(perPE[best], t)
 		}
-		load[best] += e.cost
-		perPE[best] = append(perPE[best], tasks[e.idx])
 	}
-	return &staticFeeder{perPE: perPE, left: len(tasks)}
+	return &staticFeeder{perPE: perPE, left: total}
 }
 
 // runEventLoop is the event-driven core without tracing.

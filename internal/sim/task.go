@@ -11,8 +11,12 @@ package sim
 
 import "math"
 
-// Task is one pipelined task: t instances of a micro-kernel executed on a
-// single PE inside a reduction loop, with loads overlapped against compute.
+// Task is a run of Count identical pipelined tasks. One pipelined task is t
+// instances of a micro-kernel executed on a single PE inside a reduction
+// loop, with loads overlapped against compute. A task list is run-length
+// encoded: a program region lowers to a single Task whose Count is its tile
+// count, and the simulator hands the run's tasks out one by one in list
+// order, exactly as if the run were written out tile by tile.
 type Task struct {
 	// ComputeCycles is the total busy-compute time of the task at rate 1
 	// cycle per cycle (all kernel instances plus fixed per-instance issue
@@ -30,6 +34,62 @@ type Task struct {
 	// Tag identifies the program region (R_i) the task belongs to, for
 	// tracing.
 	Tag int
+
+	// Count is the number of identical tasks the run stands for; values
+	// below 1 count as one task, so a literal Task is a single task.
+	Count int
+}
+
+// N is the number of tasks in the run.
+func (t Task) N() int {
+	if t.Count < 1 {
+		return 1
+	}
+	return t.Count
+}
+
+// same reports whether two runs consist of identical tasks.
+func same(a, b Task) bool {
+	a.Count, b.Count = 0, 0
+	return a == b
+}
+
+// Total is the number of tasks a run-length task list stands for.
+func Total(tasks []Task) int {
+	n := 0
+	for _, t := range tasks {
+		n += t.N()
+	}
+	return n
+}
+
+// AppendRepeat appends n back-to-back launches of the task list batch to dst
+// — n independent instances of one program co-scheduled in one launch. A
+// single-run batch becomes one run of n times its count; a multi-run batch
+// repeats its runs n times in order.
+func AppendRepeat(dst, batch []Task, n int) []Task {
+	if len(batch) == 1 && n > 0 {
+		t := batch[0]
+		t.Count = n * t.N()
+		return appendRun(dst, t)
+	}
+	for i := 0; i < n; i++ {
+		for _, t := range batch {
+			dst = appendRun(dst, t)
+		}
+	}
+	return dst
+}
+
+// appendRun appends run t to dst, merged into the last run when both consist
+// of identical tasks.
+func appendRun(dst []Task, t Task) []Task {
+	if k := len(dst) - 1; k >= 0 && same(dst[k], t) {
+		dst[k].Count = dst[k].N() + t.N()
+		return dst
+	}
+	t.Count = t.N()
+	return append(dst, t)
 }
 
 // PipelinedTaskCycles returns the cost of executing one task in isolation
