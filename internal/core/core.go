@@ -428,17 +428,25 @@ const (
 // degraded plan lands, PlanOrFallback still answers with the always-legal
 // program.
 func (c *Compiler) maybeReplanOnChange(v health.View, fp string) {
-	if c.hreg == nil {
-		return
-	}
 	c.mu.Lock()
-	if v.Generation == c.lastGen {
-		c.mu.Unlock()
-		return
+	shapes := c.replanShapesLocked(v)
+	c.mu.Unlock()
+	c.startReplans(shapes, v, fp)
+}
+
+// replanShapesLocked records v's generation and, when it differs from the
+// last one seen, returns the hot shapes to replan against v. Callers hold
+// c.mu.
+func (c *Compiler) replanShapesLocked(v health.View) []tensor.GemmShape {
+	if c.hreg == nil || v.Generation == c.lastGen {
+		return nil
 	}
 	c.lastGen = v.Generation
-	shapes := c.cache.shapesMRU(replanLimit)
-	c.mu.Unlock()
+	return c.cache.shapesMRU(replanLimit)
+}
+
+// startReplans replans shapes against view v in the background.
+func (c *Compiler) startReplans(shapes []tensor.GemmShape, v health.View, fp string) {
 	if len(shapes) == 0 {
 		return
 	}
@@ -485,6 +493,28 @@ func (c *Compiler) planIsolated(ctx context.Context, shape tensor.GemmShape, fp 
 	return prog, stats, err
 }
 
+// Lookup returns the cached program for shape under the current health view
+// without planning or blocking. It is the one implementation of what a hit
+// books — one traffic-tracker observation, one cache hit, and the replan
+// trigger on a view change — and PlanOrFallback resolves its hits through
+// it. A miss books nothing, so a caller that then plans the shape through
+// PlanOrFallback counts it once.
+func (c *Compiler) Lookup(shape tensor.GemmShape) (*poly.Program, bool) {
+	v, fp := c.currentView()
+	key := cacheKey{shape: shape, lib: c.libHash, fp: fp}
+	c.mu.Lock()
+	if !c.cache.peek(key) {
+		c.mu.Unlock()
+		return nil, false
+	}
+	shapes := c.replanShapesLocked(v)
+	prog, _ := c.cache.get(key)
+	c.mu.Unlock()
+	c.tracker.Observe(shape)
+	c.startReplans(shapes, v, fp)
+	return prog, true
+}
+
 // PlanOrFallback returns the optimized program for shape, degrading to the
 // always-legal single-kernel program (local padding makes it valid for every
 // positive shape, §3.4) when planning fails, panics, or exceeds ctx's
@@ -492,6 +522,11 @@ func (c *Compiler) planIsolated(ctx context.Context, shape tensor.GemmShape, fp 
 // programs are not cached, so a later request retries full polymerization.
 // Only an invalid shape or an unusable library yields an error.
 func (c *Compiler) PlanOrFallback(ctx context.Context, shape tensor.GemmShape) (prog *poly.Program, degraded bool, err error) {
+	if prog, ok := c.Lookup(shape); ok {
+		return prog, false, nil
+	}
+	// Miss: Lookup booked nothing, so the observation and the miss are
+	// booked here, once.
 	if shape.Valid() {
 		c.tracker.Observe(shape)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -191,5 +192,57 @@ func TestSimulateInvalidShape(t *testing.T) {
 	c := newTestCompiler(t)
 	if _, err := c.Simulate(tensor.GemmShape{}); err == nil {
 		t.Fatal("invalid shape accepted")
+	}
+}
+
+// TestLookupBooksLikeACachedPlan: a Lookup hit books what a cache-hit
+// PlanOrFallback books — one hit, one tracker observation — and returns the
+// cached program; a miss books nothing and plans nothing.
+func TestLookupBooksLikeACachedPlan(t *testing.T) {
+	c := newTestCompiler(t)
+	s := tensor.GemmShape{M: 100, N: 200, K: 300}
+	if prog, ok := c.Lookup(s); ok || prog != nil {
+		t.Fatalf("cold lookup hit: %v", prog)
+	}
+	if cs, pc := c.CacheStats(), c.PlanCache(); cs.Hits != 0 || cs.Misses != 0 || pc.Observations != 0 {
+		t.Fatalf("a miss booked counters: %+v %+v", cs, pc)
+	}
+	if n, _ := c.PlanStats(); n != 0 {
+		t.Fatalf("a lookup planned %d times", n)
+	}
+	want, err := c.Plan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, obs := c.CacheStats(), c.PlanCache().Observations
+	prog, ok := c.Lookup(s)
+	if !ok || prog != want {
+		t.Fatalf("warm lookup = %p, %v; want the cached %p", prog, ok, want)
+	}
+	after := c.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("hit booked %+v -> %+v, want one hit", before, after)
+	}
+	if got := c.PlanCache().Observations; got != obs+1 {
+		t.Fatalf("tracker observations %d -> %d, want one more", obs, got)
+	}
+}
+
+// TestPlanOrFallbackBooksOnce: PlanOrFallback resolves a hit through Lookup
+// and plans a miss itself, and each call books one observation and exactly
+// one of a hit or a miss.
+func TestPlanOrFallbackBooksOnce(t *testing.T) {
+	c := newTestCompiler(t)
+	s := tensor.GemmShape{M: 96, N: 160, K: 224}
+	for i, want := range []CacheStats{{Misses: 1}, {Hits: 1, Misses: 1}} {
+		if _, degraded, err := c.PlanOrFallback(context.Background(), s); err != nil || degraded {
+			t.Fatalf("call %d: degraded %v, err %v", i, degraded, err)
+		}
+		if cs := c.CacheStats(); cs.Hits != want.Hits || cs.Misses != want.Misses {
+			t.Fatalf("call %d: hits/misses %d/%d, want %d/%d", i, cs.Hits, cs.Misses, want.Hits, want.Misses)
+		}
+		if obs := c.PlanCache().Observations; obs != uint64(i+1) {
+			t.Fatalf("call %d: %d tracker observations, want %d", i, obs, i+1)
+		}
 	}
 }

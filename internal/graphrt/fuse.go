@@ -123,7 +123,7 @@ func (r *Runtime) chainPlan(ctx context.Context, g nn.Graph, ch graphopt.Chain) 
 				unfused += op.OtherCycles(r.h)
 				continue
 			}
-			prog, degraded, perr := r.planFn(ctx, op.Gemm)
+			prog, degraded, perr := r.plan(ctx, op.Gemm)
 			if perr != nil || degraded || prog.EstimatedCost <= 0 {
 				ok = false
 				break

@@ -8,11 +8,13 @@
 //     of per-head GEMMs) co-schedule on the device in one simulator launch;
 //
 //   - an asynchronous plan-ahead pipeline: a bounded worker pool plans
-//     upcoming ops through the compiler's LRU/singleflight cache while the
-//     executor runs the current stage, hiding the online polymerization
-//     cost behind execution — the "on-the-fly" story at model granularity.
-//     Per-graph stats separate hidden planning time from planning stalls
-//     (wall time the executor waited on an unfinished plan);
+//     upcoming cache-missing ops through the compiler's LRU/singleflight
+//     cache while the executor runs the current stage, hiding the online
+//     polymerization cost behind execution — the "on-the-fly" story at
+//     model granularity. Cached programs resolve inline on the executor, so
+//     a fully cached execution starts no pipeline at all. Per-graph stats
+//     separate hidden planning time from planning stalls (wall time the
+//     executor waited on an unfinished plan);
 //
 //   - a global-memory planner: liveness-based first-fit assignment of
 //     inter-op tensors against H.M_global, reusing freed regions and
@@ -44,7 +46,10 @@ import (
 // are produced inline, on the critical path, exactly when needed.
 type Config struct {
 	// PlanAhead is the number of ops the planning pipeline may run ahead
-	// of the executor; 0 disables the pipeline (inline planning).
+	// of the executor; 0 disables the pipeline (inline planning). Only ops
+	// whose program is not already cached enter the pipeline: cached
+	// programs resolve inline, and an execution with no miss starts no
+	// pipeline.
 	PlanAhead int
 
 	// Workers bounds the concurrent planner goroutines of the pipeline
@@ -54,6 +59,8 @@ type Config struct {
 	// PlanTimeout bounds one op's online planning; exceeding it degrades
 	// to the always-legal fallback program (0 = no deadline, negative =
 	// already expired, the forced-degradation knob of the serve layer).
+	// It applies to ops that plan online; a cached program resolves
+	// inline with no deadline, so expired timeouts degrade only misses.
 	PlanTimeout time.Duration
 
 	// Obs optionally attaches tracing to graph execution; nil (the
@@ -87,8 +94,9 @@ type Runtime struct {
 	cfg  Config
 	o    *obs.Obs
 
-	// planFn is the per-op planning entry; a seam tests use to inject
-	// slow planners. Defaults to PlanOrFallback under cfg.PlanTimeout.
+	// planFn, when set, replaces per-op planning (planCompiler); a seam
+	// tests use to inject slow planners. An injected planner is never
+	// bypassed: every op, cached or not, plans through it.
 	planFn func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error)
 
 	// simFn executes one stage's run-length task batch; a seam the serve
@@ -102,6 +110,10 @@ type Runtime struct {
 	agg        Stats
 	simCache   map[stageKey]sim.Result
 	chainCache map[string]chainEntry
+	// structs caches execution structures by graph content, LRU-evicted
+	// by structTick (structure.go).
+	structs    map[string]*structEntry
+	structTick uint64
 }
 
 // Stats are the runtime's cumulative counters, aggregated across Execute
@@ -109,9 +121,11 @@ type Runtime struct {
 type Stats struct {
 	// Graphs and Stages count completed executions and executed stages.
 	Graphs, Stages int64
-	// Plans counts planning-pipeline results consumed (including cache
-	// hits inside the compiler); Stalls counts the subset the executor
-	// had to wait for.
+	// Plans counts programs handed to the executor, cache hits resolved
+	// inline included; Stalls counts the subset the executor waited for:
+	// every plan in sequential mode (PlanAhead 0), otherwise the pipeline
+	// tickets not ready when consumed and the plans made inline on its
+	// critical path.
 	Plans, Stalls int64
 	// PlanWall is total planning wall time; StallWall the part the
 	// executor spent blocked on unfinished plans; HiddenWall the part
@@ -236,17 +250,28 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		o:          cfg.Obs,
 		simCache:   make(map[stageKey]sim.Result),
 		chainCache: make(map[string]chainEntry),
-	}
-	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
-		pctx := ctx
-		var cancel context.CancelFunc
-		if cfg.PlanTimeout != 0 {
-			pctx, cancel = context.WithTimeout(ctx, cfg.PlanTimeout)
-			defer cancel()
-		}
-		return comp.PlanOrFallback(pctx, shape)
+		structs:    make(map[string]*structEntry),
 	}
 	return r
+}
+
+// plan plans one op's program through the injected planFn, or planCompiler.
+func (r *Runtime) plan(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
+	if r.planFn != nil {
+		return r.planFn(ctx, shape)
+	}
+	return r.planCompiler(ctx, shape)
+}
+
+// planCompiler plans through the compiler's PlanOrFallback under
+// cfg.PlanTimeout.
+func (r *Runtime) planCompiler(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
+	if r.cfg.PlanTimeout != 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.cfg.PlanTimeout)
+		defer cancel()
+	}
+	return r.comp.PlanOrFallback(ctx, shape)
 }
 
 // Compiler returns the compiler the runtime plans through.
@@ -287,15 +312,6 @@ func (r *Runtime) Stats() Stats {
 	return s
 }
 
-// ticket is one op's plan, produced by the pipeline or inline.
-type ticket struct {
-	done     chan struct{}
-	prog     *poly.Program
-	degraded bool
-	err      error
-	wall     time.Duration
-}
-
 // Execute runs the graph end to end and returns its report.
 func (r *Runtime) Execute(ctx context.Context, g nn.Graph) (Report, error) {
 	return r.ExecuteSalted(ctx, g, 0)
@@ -304,23 +320,17 @@ func (r *Runtime) Execute(ctx context.Context, g nn.Graph) (Report, error) {
 // ExecuteSalted is Execute with a fault-injection salt distinguishing retry
 // attempts (forwarded to the simulator seam).
 func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (Report, error) {
-	if err := g.Validate(); err != nil {
-		return Report{}, err
-	}
-	stages, err := g.Stages()
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{Graph: g.Name, Ops: len(g.Ops), Stages: len(stages)}
+	rep := Report{Graph: g.Name, Ops: len(g.Ops)}
 	ctx, esp := r.o.T().Start(ctx, "graphrt.execute")
 	defer func() {
 		esp.Attr("ops", float64(rep.Ops)).Attr("stages", float64(rep.Stages)).
 			Attr("cycles", rep.Cycles).End()
 	}()
-	_, msp := r.o.T().Start(ctx, "graphrt.memplan")
-	rep.Mem = planMemory(g, stages, r.h)
-	msp.Attr("buffers", float64(rep.Mem.Buffers)).
-		Attr("spill_bytes", rep.Mem.SpillBytes).End()
+	st, err := r.structureOf(ctx, g)
+	if err != nil {
+		return Report{}, err
+	}
+	rep.Stages, rep.Mem = st.numStages(), st.mem
 	rep.SpillCycles = rep.Mem.SpillBytes / r.h.GlobalBytesPerCycle
 
 	// Whole-graph polymerization decides before the plan-ahead pipeline
@@ -331,15 +341,11 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 		fusion = r.planFusion(ctx, g, &rep)
 	}
 
-	// Flatten the stage schedule into the planning order and start the
-	// plan-ahead pipeline (nil tickets = inline planning).
-	order := make([]int, 0, len(g.Ops))
-	for _, stage := range stages {
-		order = append(order, stage...)
-	}
-	pctx, stop := context.WithCancel(ctx)
-	defer stop()
-	pipe := r.startPipeline(pctx, g, order, fusion)
+	// Ticket the ops missing from the plan cache; a nil pipeline means
+	// sequential mode or nothing to plan ahead.
+	v, fp, hEff := r.healthView()
+	pipe := r.startPipeline(ctx, g, st.order, fusion, fp)
+	defer pipe.close()
 
 	// Spans cover novel work only: each memo-missing stage gets a
 	// graphrt.stage span inside runStage, while memoized replays —
@@ -347,13 +353,16 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	// span. Spanning all ~N stages of a decode graph would put hundreds of
 	// span commits on a ~ms execution, busting the <2% overhead contract.
 	var ops []stageOp
-	for si, stage := range stages {
+	for si := 0; si < st.numStages(); si++ {
 		ops = ops[:0]
 		// The health view is resolved per stage, not per graph: a PE
 		// quarantined while stage k executes shrinks the hardware stage
 		// k+1 runs on — mid-graph adaptation.
-		v, fp, hEff := r.healthView()
-		for _, i := range stage {
+		if si > 0 {
+			v, fp, hEff = r.healthView()
+		}
+		for _, i32 := range st.stage(si) {
+			i := int(i32)
 			op := g.Ops[i]
 			if fusion != nil {
 				if fusion.skip[i] {
@@ -372,11 +381,11 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 				rep.OtherCycles += op.OtherCycles(r.h) * float64(op.Count)
 				continue
 			}
-			t, err := r.consumePlan(ctx, pipe, i, op.Gemm, &rep)
+			prog, err := r.planOp(ctx, pipe, i, op.Gemm, &rep)
 			if err != nil {
 				return Report{}, fmt.Errorf("graphrt: graph %s op %s: %w", g.Name, op.Name, err)
 			}
-			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: t.prog})
+			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: prog})
 		}
 		if len(ops) > 0 {
 			res := r.runStage(ctx, si, ops, fp, hEff, v, salt)

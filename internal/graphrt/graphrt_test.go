@@ -131,7 +131,7 @@ func TestPlanAheadMatchesSequential(t *testing.T) {
 func TestPlanAheadHidesPlanning(t *testing.T) {
 	const coldPlanDelay = 30 * time.Millisecond
 	slowPlans := func(rt *Runtime) {
-		orig := rt.planFn
+		orig := rt.planCompiler
 		var mu sync.Mutex
 		seen := make(map[tensor.GemmShape]bool)
 		rt.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {

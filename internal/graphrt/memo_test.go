@@ -2,7 +2,9 @@ package graphrt
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
@@ -96,6 +98,56 @@ func TestMemoHitAllocsIndependentOfTiles(t *testing.T) {
 	for name, n := range allocs {
 		if n != allocs["b1"] {
 			t.Fatalf("%s: %g allocs per memo-hit execute, b1: %g", name, n, allocs["b1"])
+		}
+	}
+}
+
+// doneCounter counts calls to Done. Deriving a context from it —
+// context.WithCancel for the plan-ahead pipeline, context.WithTimeout for a
+// per-op plan deadline — calls its Done to wire up cancellation, and the
+// pipeline's goroutines start only under such a derived context, so an
+// execution that never calls Done derived no context and started no
+// goroutine.
+type doneCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.n.Add(1)
+	return c.Context.Done()
+}
+
+// TestCachedDecodeStepIsCheap: once every program of a Llama decode step is
+// cached and every stage memoized, an execution allocates at most 32 times,
+// derives no context and starts no goroutine — both sequentially and under
+// the serving layer's configuration (plan-ahead 2, a 2 s plan deadline and a
+// health registry).
+func TestCachedDecodeStepIsCheap(t *testing.T) {
+	configs := map[string]func() Config{
+		"zero": func() Config { return Config{} },
+		"serve": func() Config {
+			return Config{PlanAhead: 2, PlanTimeout: 2 * time.Second,
+				Health: health.NewRegistry(hw.A100().NumPEs, health.Config{})}
+		},
+	}
+	for name, cfg := range configs {
+		rt := testRuntime(t, cfg())
+		g := nn.Llama2Decode(8, 256)
+		if _, err := rt.Execute(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+		ctx := &doneCounter{Context: context.Background()}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := rt.Execute(ctx, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("%s: %g allocs per cached decode step, want <= 32", name, allocs)
+		}
+		if n := ctx.n.Load(); n != 0 {
+			t.Errorf("%s: cached decode step derived contexts (%d Done calls): a pipeline or plan deadline was set up", name, n)
 		}
 	}
 }

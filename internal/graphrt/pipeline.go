@@ -8,44 +8,67 @@ import (
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
+	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 )
 
-// pipeline is one execution's asynchronous plan-ahead state: a ticket per
-// op (nil for OpOther), filled by a bounded worker pool that runs at most
-// PlanAhead ops past the executor's consumption point.
+// pipeline is one execution's asynchronous plan-ahead state: a ticket per op
+// that must plan online (nil for the rest), filled by a bounded worker pool
+// that runs at most PlanAhead ops past the executor's consumption point.
 type pipeline struct {
 	tickets []*ticket
 	// ahead holds one token per dispatched-but-unconsumed plan; the
 	// dispatcher acquires before handing a job to the pool, the executor
 	// releases on consumption, bounding the lookahead to cap(ahead).
 	ahead chan struct{}
+	// stop cancels the pipeline's context, ending every goroutine.
+	stop context.CancelFunc
 }
 
-// startPipeline launches the plan-ahead pipeline for the ops in `order`
-// (the flattened stage schedule). Returns nil when PlanAhead is 0: the
-// executor then plans inline, on its critical path — the sequential mode.
-// Ops covered by a fusion plan (chain heads and their members) get no
-// ticket: heads already hold their fused program and members never execute
-// standalone, so a ticket would hold a lookahead token that is never
-// released. All goroutines exit when ctx is cancelled (the executor cancels
-// it on return), so an aborted execution leaks nothing.
-func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int, fusion *fusionPlan) *pipeline {
+// ticket is one op's plan, produced by the pipeline.
+type ticket struct {
+	done     chan struct{}
+	prog     *poly.Program
+	degraded bool
+	err      error
+	wall     time.Duration
+}
+
+// startPipeline launches the plan-ahead pipeline for the ops in `order` (the
+// flattened stage schedule) that must plan online. Ops whose program the
+// compiler already caches under fingerprint fp get no ticket: the executor
+// resolves them inline (planOp). So do ops covered by a fusion plan: heads
+// already hold their fused program and members never execute standalone, so
+// a ticket would hold a lookahead token that is never released. Returns nil —
+// starting no goroutine, channel or context — when PlanAhead is 0 (the
+// sequential mode: the executor plans inline, on its critical path) or when
+// no op needs planning. The goroutines exit once close cancels their
+// context, so an aborted execution leaks nothing.
+func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int32, fusion *fusionPlan, fp string) *pipeline {
 	if r.cfg.PlanAhead <= 0 {
 		return nil
 	}
-	p := &pipeline{
-		tickets: make([]*ticket, len(g.Ops)),
-		ahead:   make(chan struct{}, r.cfg.PlanAhead),
-	}
+	var p *pipeline
 	var planned []int
-	for _, i := range order {
-		if g.Ops[i].Kind != nn.OpOther && !fusion.covered(i) {
-			p.tickets[i] = &ticket{done: make(chan struct{})}
-			planned = append(planned, i)
+	for _, i32 := range order {
+		i := int(i32)
+		op := g.Ops[i]
+		if op.Kind == nn.OpOther || fusion.covered(i) ||
+			(r.planFn == nil && r.comp.Cached(op.Gemm, fp)) {
+			continue
 		}
+		if p == nil {
+			p = &pipeline{tickets: make([]*ticket, len(g.Ops))}
+		}
+		p.tickets[i] = &ticket{done: make(chan struct{})}
+		planned = append(planned, i)
 	}
+	if p == nil {
+		return nil
+	}
+	ctx, p.stop = context.WithCancel(ctx)
+	p.ahead = make(chan struct{}, r.cfg.PlanAhead)
 
 	jobs := make(chan int)
 	go func() { // dispatcher: feeds jobs in schedule order, k-bounded
@@ -68,7 +91,7 @@ func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int, fu
 			for i := range jobs {
 				t := p.tickets[i]
 				start := time.Now()
-				t.prog, t.degraded, t.err = r.planFn(ctx, g.Ops[i].Gemm)
+				t.prog, t.degraded, t.err = r.plan(ctx, g.Ops[i].Gemm)
 				t.wall = time.Since(start)
 				close(t.done)
 			}
@@ -77,26 +100,48 @@ func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int, fu
 	return p
 }
 
-// consumePlan hands the executor op i's program: from the pipeline when one
-// is running (accounting stall vs hidden wall time), inline otherwise.
-func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape tensor.GemmShape, rep *Report) (*ticket, error) {
-	if pipe == nil {
-		// Sequential mode: the whole planning wall is executor stall.
-		t := &ticket{}
-		start := time.Now()
-		t.prog, t.degraded, t.err = r.planFn(ctx, shape)
-		t.wall = time.Since(start)
-		rep.Plans++
-		rep.Stalls++
-		rep.PlanWall += t.wall
-		rep.StallWall += t.wall
-		if t.degraded {
-			rep.Degraded++
-		}
-		return t, t.err
+// close stops the pipeline's goroutines; a nil pipeline is a no-op.
+func (p *pipeline) close() {
+	if p != nil {
+		p.stop()
 	}
+}
 
-	t := pipe.tickets[i]
+// planOp hands the executor op i's program: from the pipeline when the op
+// holds a ticket (accounting stall vs hidden wall time), else the compiler's
+// cached program resolved inline, else an inline plan on the critical path.
+// Sequential mode counts every plan as a stall; with the pipeline, only the
+// plans the executor waited for or planned itself.
+func (r *Runtime) planOp(ctx context.Context, pipe *pipeline, i int, shape tensor.GemmShape, rep *Report) (*poly.Program, error) {
+	if pipe != nil && pipe.tickets[i] != nil {
+		return r.consumeTicket(ctx, pipe, pipe.tickets[i], rep)
+	}
+	if r.planFn == nil {
+		if prog, ok := r.comp.Lookup(shape); ok {
+			// A cache hit takes no measurable planning wall.
+			rep.Plans++
+			if r.cfg.PlanAhead <= 0 {
+				rep.Stalls++
+			}
+			return prog, nil
+		}
+	}
+	start := time.Now()
+	prog, degraded, err := r.plan(ctx, shape)
+	wall := time.Since(start)
+	rep.Plans++
+	rep.Stalls++
+	rep.PlanWall += wall
+	rep.StallWall += wall
+	if degraded {
+		rep.Degraded++
+	}
+	return prog, err
+}
+
+// consumeTicket waits for a pipeline ticket, accounting the wait as stall
+// and the rest of its planning wall as hidden.
+func (r *Runtime) consumeTicket(ctx context.Context, pipe *pipeline, t *ticket, rep *Report) (*poly.Program, error) {
 	var stall time.Duration
 	select {
 	case <-t.done:
@@ -122,7 +167,7 @@ func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape 
 	if t.degraded {
 		rep.Degraded++
 	}
-	return t, t.err
+	return t.prog, t.err
 }
 
 // stageKey identifies one stage execution in the stage-simulation memo: the

@@ -130,7 +130,7 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 					shapes = []tensor.GemmShape{op.shape}
 				}
 				for _, s := range shapes {
-					prog, degraded, err := r.planFn(ctx, s)
+					prog, degraded, err := r.plan(ctx, s)
 					if err != nil {
 						return res, &StageError{
 							Graph: g.Name, Stage: si, Attempts: attempt,

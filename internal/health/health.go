@@ -97,6 +97,10 @@ type Registry struct {
 	streak      []int  // consecutive faulty observations per base PE
 	quarantined []bool // per base PE
 	nQuar       int
+	// open counts live (unquarantined) PEs with a nonzero streak: with
+	// none open, a clean observation has no streak to reset and skips the
+	// per-PE walk.
+	open int
 
 	bwStreak int     // consecutive observations carrying a derate
 	bwClear  int     // consecutive clean observations since a derate
@@ -105,6 +109,11 @@ type Registry struct {
 
 	gen   uint64
 	stats Stats
+
+	// view is the View snapshot of generation viewGen; the view changes
+	// only when gen does, so View rebuilds it once per generation.
+	view    View
+	viewGen uint64
 }
 
 // NewRegistry creates a registry for a device with numPEs processing
@@ -119,6 +128,7 @@ func NewRegistry(numPEs int, cfg Config) *Registry {
 		streak:      make([]int, numPEs),
 		quarantined: make([]bool, numPEs),
 		bwFactor:    1,
+		view:        View{NumPEs: numPEs, BandwidthFactor: 1},
 	}
 }
 
@@ -131,7 +141,10 @@ func (r *Registry) ObserveResult(v View, res sim.Result) Classification {
 	defer r.mu.Unlock()
 	r.stats.Observations++
 
-	survivors := r.survivorsFor(v)
+	var survivors []int
+	if len(res.DeadPEs) > 0 {
+		survivors = r.survivorsFor(v)
+	}
 	changed := false
 	persistent := false
 
@@ -163,6 +176,13 @@ func (r *Registry) ObserveResult(v View, res sim.Result) Classification {
 	if len(res.PEFaults) > nPE {
 		nPE = len(res.PEFaults)
 	}
+	if faulty == 0 && r.open == 0 {
+		// Nothing faulted and no live PE carries a streak: the walk
+		// below could only reset streaks that are already zero.
+		nPE = 0
+	} else if survivors == nil {
+		survivors = r.survivorsFor(v)
+	}
 	for pe := 0; pe < nPE; pe++ {
 		base, ok := mapPE(survivors, pe)
 		if !ok || r.quarantined[base] {
@@ -176,10 +196,14 @@ func (r *Registry) ObserveResult(v View, res sim.Result) Classification {
 		case nFaults == 0:
 			// The PE ran clean this observation (if it ran at all):
 			// streaks are *consecutive* evidence.
-			if pe < len(res.PEBusy) && res.PEBusy[pe] > 0 {
+			if pe < len(res.PEBusy) && res.PEBusy[pe] > 0 && r.streak[base] > 0 {
 				r.streak[base] = 0
+				r.open--
 			}
 		case concentrated:
+			if r.streak[base] == 0 {
+				r.open++
+			}
 			r.streak[base]++
 			if r.streak[base] >= r.cfg.StreakThreshold {
 				persistent = true
@@ -211,8 +235,7 @@ func (r *Registry) ObserveResult(v View, res sim.Result) Classification {
 	}
 
 	if changed {
-		r.gen++
-		r.stats.Generation = r.gen
+		r.bumpLocked()
 	}
 	switch {
 	case persistent:
@@ -235,8 +258,18 @@ func (r *Registry) quarantineLocked(base int) bool {
 	}
 	r.quarantined[base] = true
 	r.nQuar++
+	if r.streak[base] > 0 {
+		r.open--
+	}
 	r.stats.Quarantines++
 	return true
+}
+
+// bumpLocked records a view change: a new generation, whose View snapshot is
+// rebuilt on next use.
+func (r *Registry) bumpLocked() {
+	r.gen++
+	r.stats.Generation = r.gen
 }
 
 // survivorsFor returns the base-PE ids the given view's PE indices refer to,
@@ -268,16 +301,21 @@ func mapPE(survivors []int, pe int) (int, bool) {
 	return survivors[pe], true
 }
 
-// View returns the current degraded hardware view.
+// View returns the current degraded hardware view. Views of one generation
+// share their Quarantined slice, which callers must not modify.
 func (r *Registry) View() View {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.viewGen == r.gen {
+		return r.view
+	}
 	v := View{NumPEs: r.n, BandwidthFactor: r.bwFactor, Generation: r.gen}
 	for pe, q := range r.quarantined {
 		if q {
 			v.Quarantined = append(v.Quarantined, pe)
 		}
 	}
+	r.view, r.viewGen = v, r.gen
 	return v
 }
 
@@ -300,10 +338,10 @@ func (r *Registry) Reset() {
 		r.quarantined[i] = false
 	}
 	if r.nQuar > 0 || r.bwFactor != 1 {
-		r.gen++
-		r.stats.Generation = r.gen
+		r.bumpLocked()
 	}
 	r.nQuar = 0
+	r.open = 0
 	r.bwStreak, r.bwClear = 0, 0
 	r.bwFactor, r.bwSeen = 1, 0
 }

@@ -127,18 +127,26 @@ type Graph struct {
 
 // Validate checks every operator and the dependency structure.
 func (g Graph) Validate() error {
+	_, err := g.Schedule()
+	return err
+}
+
+// Schedule validates the graph like Validate and returns its stage schedule
+// (see Stages), deriving the schedule once for both.
+func (g Graph) Schedule() ([][]int, error) {
 	if len(g.Ops) == 0 {
-		return fmt.Errorf("nn: graph %q has no operators", g.Name)
+		return nil, fmt.Errorf("nn: graph %q has no operators", g.Name)
 	}
 	for _, o := range g.Ops {
 		if err := o.Validate(); err != nil {
-			return fmt.Errorf("graph %q: %w", g.Name, err)
+			return nil, fmt.Errorf("graph %q: %w", g.Name, err)
 		}
 	}
-	if _, err := g.Stages(); err != nil {
-		return fmt.Errorf("graph %q: %w", g.Name, err)
+	stages, err := g.Stages()
+	if err != nil {
+		return nil, fmt.Errorf("graph %q: %w", g.Name, err)
 	}
-	return nil
+	return stages, nil
 }
 
 // Deps returns the effective dependency list of op i: its explicit Inputs

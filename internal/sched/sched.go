@@ -335,6 +335,51 @@ type Scheduler struct {
 	events    []Event
 	collected []Result // replay results
 	closed    bool
+
+	// decodeGraphs memoizes decode step graphs by (batch, padded KV
+	// length): waves re-request the same few shapes every step, and graphs
+	// are immutable once built. decodeTick orders entries for LRU eviction.
+	decodeGraphs map[[2]int]*decodeGraphEntry
+	decodeTick   uint64
+}
+
+// decodeGraphCap bounds the decode-graph memo. A decode step graph is ~55
+// KiB. The repository benchmark's llm-generate traffic (perfbench, 30 s
+// runs) steps 20–21 distinct (batch, KV bucket) pairs, heavily skewed to
+// small batches; with LRU eviction 8 entries serve 98% of decode steps
+// without a rebuild. 16 entries served 99.9%, but their extra ~0.45 MiB of
+// live graphs took the benchmark's peak RSS too close to its bound for the
+// ~30 µs of rebuilds per request they saved.
+const decodeGraphCap = 8
+
+// decodeGraphEntry is one memoized decode graph and its recency.
+type decodeGraphEntry struct {
+	g    nn.Graph
+	used uint64 // Scheduler.decodeTick at the entry's last use
+}
+
+// decodeGraphLocked returns the decode step graph for (batch, kv), building
+// it on first use and evicting the least recently used graph when full.
+func (s *Scheduler) decodeGraphLocked(batch, kv int) nn.Graph {
+	key := [2]int{batch, kv}
+	s.decodeTick++
+	if e, ok := s.decodeGraphs[key]; ok {
+		e.used = s.decodeTick
+		return e.g
+	}
+	if len(s.decodeGraphs) >= decodeGraphCap {
+		var lru [2]int
+		oldest := ^uint64(0)
+		for k, e := range s.decodeGraphs {
+			if e.used < oldest {
+				lru, oldest = k, e.used
+			}
+		}
+		delete(s.decodeGraphs, lru)
+	}
+	g := nn.Llama2Decode(batch, kv)
+	s.decodeGraphs[key] = &decodeGraphEntry{g: g, used: s.decodeTick}
+	return g
 }
 
 // New builds a scheduler over its own KV manager.
@@ -350,6 +395,8 @@ func New(exec Executor, cfg Config) *Scheduler {
 		stepBound: cfg.StepSLOMs / 1e3 * cfg.HW.ClockHz,
 		ttftBound: cfg.TTFTSLOMs / 1e3 * cfg.HW.ClockHz,
 		queues:    make(map[string]*[NumPriorities][]*reqState),
+
+		decodeGraphs: make(map[[2]int]*decodeGraphEntry, decodeGraphCap),
 	}
 	s.limit = float64(cfg.MaxInFlightTokens)
 	s.cond = sync.NewCond(&s.mu)
@@ -610,7 +657,7 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 			}
 			decode = append(decode, decodeJob{
 				entries: group[:n],
-				g:       nn.Llama2Decode(n, kv),
+				g:       s.decodeGraphLocked(n, kv),
 			})
 			group = group[n:]
 		}

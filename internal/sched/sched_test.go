@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -382,5 +383,58 @@ func TestLoopConcurrentSubmits(t *testing.T) {
 	st := s.Stats()
 	if st.Completed != 40 {
 		t.Fatalf("completed %d, want 40", st.Completed)
+	}
+}
+
+// TestDecodeGraphsReused: a (batch, KV) decode step graph is built once and
+// reused by later waves while it stays in the bounded LRU memo, and every
+// reused graph is identical to a freshly built one.
+func TestDecodeGraphsReused(t *testing.T) {
+	s := New(newFakeExec(), testCfg())
+	s.mu.Lock()
+	g := s.decodeGraphLocked(4, 256)
+	for kv := 1; kv <= 2*decodeGraphCap; kv++ {
+		s.decodeGraphLocked(1, 16*kv)
+		if len(s.decodeGraphs) > decodeGraphCap {
+			t.Fatalf("%d memoized decode graphs, cap %d", len(s.decodeGraphs), decodeGraphCap)
+		}
+		// (4, 256) is stepped every wave, so LRU eviction keeps it while
+		// one-off pairs pass through.
+		if again := s.decodeGraphLocked(4, 256); &g.Ops[0] != &again.Ops[0] {
+			s.mu.Unlock()
+			t.Fatalf("after %d other pairs, (4, 256) was rebuilt", kv)
+		}
+	}
+	s.mu.Unlock()
+	if want := nn.Llama2Decode(4, 256); !reflect.DeepEqual(g, want) || cap(g.Ops) != len(g.Ops) {
+		t.Fatalf("memoized graph differs from a fresh build (cap %d, len %d)", cap(g.Ops), len(g.Ops))
+	}
+
+	// Through a replay: every executed decode graph equals a fresh build,
+	// and waves share graphs rather than rebuilding them.
+	exec := newFakeExec()
+	var mu sync.Mutex
+	builds := map[*nn.Op]bool{}
+	runs := 0
+	exec.failWhen = func(g nn.Graph, _ string) error {
+		var b, kv int
+		if _, err := fmt.Sscanf(g.Name, "llama2-13b-decode@b%d_kv%d", &b, &kv); err != nil {
+			return nil
+		}
+		if !reflect.DeepEqual(g, nn.Llama2Decode(b, kv)) {
+			return fmt.Errorf("decode graph %s differs from a fresh build", g.Name)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		builds[&g.Ops[0]] = true
+		runs++
+		return nil
+	}
+	rep, _, err := New(exec, testCfg()).Replay(context.Background(), testTrace(7, 64))
+	if err != nil || rep.Failed != 0 {
+		t.Fatalf("replay: %v, %d failed", err, rep.Failed)
+	}
+	if runs == 0 || len(builds)*2 > runs {
+		t.Fatalf("%d decode steps ran on %d distinct graphs: waves are not reusing them", runs, len(builds))
 	}
 }
